@@ -19,6 +19,7 @@ Symbols follow Section IV of the paper:
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 
@@ -38,6 +39,31 @@ def _check_r(max_slot_length: TimeLike) -> Fraction:
     return upper
 
 
+def _per_r(formula):
+    """Memoize a threshold that is a pure function of ``R``.
+
+    Every station of a fleet asks for the same thresholds, so each is
+    computed once per distinct ``R``.  The cache is keyed on the
+    validated, normalised Fraction: the public function still runs
+    :func:`_check_r` on every call, so an invalid ``R`` (``True``,
+    ``0``, ``"1/2"``) raises every time instead of hitting the entry of
+    a valid ``R`` it compares equal to.
+    """
+    cached = functools.lru_cache(maxsize=128)(formula)
+
+    def threshold(max_slot_length: TimeLike) -> int:
+        return cached(_check_r(max_slot_length))
+
+    # Name and docstring only, no ``__wrapped__``: the public signature
+    # is this wrapper's, which accepts any TimeLike ``R``.
+    threshold.__name__ = formula.__name__
+    threshold.__qualname__ = formula.__qualname__
+    threshold.__doc__ = formula.__doc__
+    threshold.cache_info = cached.cache_info
+    threshold.cache_clear = cached.cache_clear
+    return threshold
+
+
 def _check_rho(rho: TimeLike) -> Fraction:
     rate = as_time(rho)
     if not 0 <= rate < 1:
@@ -51,15 +77,15 @@ def _check_rho(rho: TimeLike) -> Fraction:
 # ABS / SST (Section III)
 # ----------------------------------------------------------------------
 
-def abs_listen_threshold_bit0(max_slot_length: TimeLike) -> int:
+@_per_r
+def abs_listen_threshold_bit0(upper: Fraction) -> int:
     """Box (3) of Fig. 3: a bit-0 station listens ``3R`` slots."""
-    upper = _check_r(max_slot_length)
     return _ceil(3 * upper)
 
 
-def abs_listen_threshold_bit1(max_slot_length: TimeLike) -> int:
+@_per_r
+def abs_listen_threshold_bit1(upper: Fraction) -> int:
     """Box (4) of Fig. 3: a bit-1 station listens ``4R^2 + 3R`` slots."""
-    upper = _check_r(max_slot_length)
     return _ceil(4 * upper * upper + 3 * upper)
 
 
@@ -127,7 +153,8 @@ def ao_election_slots(n: int, max_slot_length: TimeLike) -> int:
     return abs_slot_upper_bound(n, max_slot_length)
 
 
-def ao_sync_silence_threshold(max_slot_length: TimeLike) -> int:
+@_per_r
+def ao_sync_silence_threshold(upper: Fraction) -> int:
     """AO-ARRoW's ``threshold``: silent slots proving no election is live.
 
     The longest silent period inside a leader election spans at most
@@ -135,20 +162,19 @@ def ao_sync_silence_threshold(max_slot_length: TimeLike) -> int:
     ``R``; an observer with unit slots could count ``R`` times that many
     silent slots, plus slack for partial slots at both ends.
     """
-    upper = _check_r(max_slot_length)
     contender_slots = (4 * upper * upper + 3 * upper) + (upper + 1)
     return _ceil(upper * contender_slots) + 2
 
 
-def ao_sync_extra_wait(max_slot_length: TimeLike) -> int:
+@_per_r
+def ao_sync_extra_wait(upper: Fraction) -> int:
     """Slots a newly eligible station waits before its sync signal.
 
     ``R * threshold`` (Section IV): guarantees every other station has
     also crossed its own silence threshold before the signal fires, so
     all of them classify the signal consistently and rejoin together.
     """
-    upper = _check_r(max_slot_length)
-    return _ceil(upper * ao_sync_silence_threshold(max_slot_length))
+    return _ceil(upper * ao_sync_silence_threshold(upper))
 
 
 def ao_long_silence_time_bound(
@@ -214,9 +240,9 @@ def ao_queue_bound_L(
 # CA-ARRoW (Section VI)
 # ----------------------------------------------------------------------
 
-def ca_gap_slots(max_slot_length: TimeLike) -> int:
+@_per_r
+def ca_gap_slots(upper: Fraction) -> int:
     """CA-ARRoW's inter-turn gap: the successor listens ``2R`` slots."""
-    upper = _check_r(max_slot_length)
     return _ceil(2 * upper)
 
 

@@ -16,7 +16,9 @@ Design contract (the parity-oracle contract, see docs/vectorization.md):
   depths, automaton phase, slot boundaries) is mirrored into NumPy
   arrays on entry (:meth:`_BatchKernel._load`) and written back on exit
   (:meth:`_BatchKernel._store`), so object- and batch-engine ``run()``
-  calls can be freely interleaved on one simulator.
+  calls can be freely interleaved on one simulator.  On a fresh
+  simulator ``_load`` also opens every station's slot 0, making the
+  same channel, automaton and RNG calls as ``Simulator._start``.
 * Results are **bit-identical** to the object engine.  The enabling
   observation is same-tick causality: a transmission starting at tick
   ``t`` can never affect the feedback of a slot ending at ``t``
@@ -66,13 +68,21 @@ from .station import (
     TRANSMIT_PACKET,
     AlwaysListen,
     AlwaysTransmit,
+    SlotContext,
 )
-from .timebase import Interval, as_time
+from .timebase import Interval
 from .simulator import _PRUNE_EVERY
 
 #: Action codes used inside the kernel (``int8``).
 _A_LISTEN, _A_TX_PKT, _A_TX_CTRL = 0, 1, 2
 _ACTIONS = (LISTEN, TRANSMIT_PACKET, TRANSMIT_CONTROL)
+
+
+def _action_code(action) -> int:
+    if not action.is_transmit:
+        return _A_LISTEN
+    return _A_TX_PKT if action.carries_packet else _A_TX_CTRL
+
 
 #: Feedback codes used inside the kernel (``int8``).
 _F_SILENCE, _F_BUSY, _F_ACK = 0, 1, 2
@@ -192,6 +202,16 @@ def engine_family(sim) -> str:
     if _promoted_program_cls(sim).adaptive:
         return "batch(adaptive)"
     return "batch(nonadaptive)"
+
+
+def per_r(threshold, bounds):
+    """``threshold(R)`` for every member's ``R``, as an int64 array,
+    evaluated once per distinct ``R``."""
+    first = bounds[0]
+    if all(r is first for r in bounds):  # a fleet built from one spec
+        return np.full(len(bounds), threshold(first), dtype=np.int64)
+    by_r = {r: threshold(r) for r in set(bounds)}
+    return np.array([by_r[r] for r in bounds], dtype=np.int64)
 
 
 # ----------------------------------------------------------------------
@@ -539,8 +559,11 @@ class KSelectionProgram(AlgorithmProgram):
         self.silent = np.zeros(n, dtype=np.int64)
         self.threshold = np.zeros(n, dtype=np.int64)
         self.slots_used = np.zeros(n, dtype=np.int64)
-        self.t0 = np.zeros(n, dtype=np.int64)
-        self.t1 = np.zeros(n, dtype=np.int64)
+        # check() rules out overrides, so every core's thresholds are
+        # the paper's values for its R.
+        bounds = [a.max_slot_length for a in algos]
+        self.t0 = per_r(abs_listen_threshold_bit0, bounds)
+        self.t1 = per_r(abs_listen_threshold_bit1, bounds)
         for i, algo in enumerate(algos):
             core = algo.core
             if core is not None:
@@ -549,12 +572,6 @@ class KSelectionProgram(AlgorithmProgram):
                 self.silent[i] = core.silent_heard
                 self.threshold[i] = core.threshold
                 self.slots_used[i] = core.slots_used
-                self.t0[i] = core._threshold0
-                self.t1[i] = core._threshold1
-            else:
-                upper = as_time(algo.max_slot_length)
-                self.t0[i] = abs_listen_threshold_bit0(upper)
-                self.t1[i] = abs_listen_threshold_bit1(upper)
 
     def step(self, m, fb, q, new_index):
         ks = self.ks[m]
@@ -880,28 +897,26 @@ class BatchKernel:
 
     def _load(self) -> None:
         sim = self.sim
-        runtimes = [sim.stations[sid] for sid in self.sids_list]
-        self.slot_index = np.array(
-            [rt.slot_index for rt in runtimes], dtype=np.int64
-        )
-        self.slot_start = np.array(
-            [rt.slot_start for rt in runtimes], dtype=np.int64
-        )
-        self.slot_end = np.array(
-            [rt.slot_end for rt in runtimes], dtype=np.int64
-        )
-        self.slots_elapsed = np.array(
-            [rt.slots_elapsed for rt in runtimes], dtype=np.int64
-        )
-        self.action_code = np.array(
-            [
-                _A_LISTEN
-                if not rt.action.is_transmit
-                else (_A_TX_PKT if rt.action.carries_packet else _A_TX_CTRL)
-                for rt in runtimes
-            ],
-            dtype=np.int8,
-        )
+        self.schedule.load()
+        if not sim._started:
+            self._open_first_slots()
+        else:
+            runtimes = [sim.stations[sid] for sid in self.sids_list]
+            self.slot_index = np.array(
+                [rt.slot_index for rt in runtimes], dtype=np.int64
+            )
+            self.slot_start = np.array(
+                [rt.slot_start for rt in runtimes], dtype=np.int64
+            )
+            self.slot_end = np.array(
+                [rt.slot_end for rt in runtimes], dtype=np.int64
+            )
+            self.slots_elapsed = np.array(
+                [rt.slots_elapsed for rt in runtimes], dtype=np.int64
+            )
+            self.action_code = np.array(
+                [_action_code(rt.action) for rt in runtimes], dtype=np.int8
+            )
         self.qlen = np.array([len(q) for q in self.queues], dtype=np.int64)
         self._pending_nonempty = {
             sid for sid, pending in sim._pending_arrivals.items() if pending
@@ -909,15 +924,54 @@ class BatchKernel:
         # Frontier: one entry per distinct end tick, holding ascending
         # fleet-index arrays.  Replaces the per-station (end, sid) heap
         # while the kernel runs; _store rebuilds the canonical heap.
-        order = np.argsort(self.slot_end, kind="stable")
-        sorted_ends = self.slot_end[order]
-        ticks, first = np.unique(sorted_ends, return_index=True)
         self._groups: Dict[int, List] = {}
         self._tick_heap: List[int] = []
-        for tick, piece in zip(ticks, np.split(order, first[1:])):
-            self._push(int(tick), piece)
+        self._push_ends(self.slot_end, np.arange(len(self.sids_list)))
         self.program.load()
-        self.schedule.load()
+
+    def _open_first_slots(self) -> None:
+        """Open every station's slot 0 on a fresh simulator.
+
+        The same calls as ``Simulator._start``, minus its per-station
+        slot bookkeeping: arrivals at time 0 are pumped and delivered,
+        every canonical automaton takes its first action in ascending id
+        order (validated with the object path's checks), lengths come
+        from the schedule program and transmissions start in id order.
+        The slot state lives in the arrays; :meth:`_store` writes the
+        runtimes and the event heap.
+        """
+        sim = self.sim
+        sim._started = True
+        sim._pump_arrivals(0)
+        for sid, pending in sim._pending_arrivals.items():
+            if pending:
+                sim._deliver_pending(sim.stations[sid], 0)
+        codes = []
+        for sid, algo, queue in zip(self.sids_list, self.algos, self.queues):
+            action = algo.first_action(
+                SlotContext(feedback=None, queue_size=len(queue), slot_index=0)
+            )
+            if action.is_transmit:
+                sim._validate_action(sim.stations[sid], action)
+            codes.append(_action_code(action))
+        codes = np.array(codes, dtype=np.int8)
+        n = len(codes)
+        zeros = np.zeros(n, dtype=np.int64)
+        ends = np.array(
+            self.schedule.lengths(np.arange(n), zeros), dtype=np.int64
+        )
+        self.slot_index = zeros.copy()
+        self.slot_start = zeros.copy()
+        self.slot_end = ends
+        self.slots_elapsed = zeros
+        self.action_code = codes
+        for raw in np.flatnonzero(codes != _A_LISTEN):
+            i = int(raw)
+            sim.channel.begin_transmission(
+                self.sids_list[i],
+                Interval(0, int(ends[i])),
+                self.queues[i].head() if codes[i] == _A_TX_PKT else None,
+            )
 
     def _store(self) -> None:
         sim = self.sim
@@ -942,6 +996,15 @@ class BatchKernel:
         heapq.heapify(heap)
         sim._event_heap = heap
         self.program.store()
+
+    def _push_ends(self, ends, members) -> None:
+        """Group ``members`` (ascending) by their slot ``ends`` into the
+        frontier; a stable sort keeps each group ascending."""
+        order = np.argsort(ends, kind="stable")
+        sorted_members = members[order]
+        ticks, first = np.unique(ends[order], return_index=True)
+        for tick, piece in zip(ticks, np.split(sorted_members, first[1:])):
+            self._push(int(tick), piece)
 
     def _push(self, tick: int, members) -> None:
         group = self._groups.get(tick)
@@ -1112,12 +1175,7 @@ class BatchKernel:
             starts[m[prune_k:]] = old_member_starts[prune_k:]
             sim.channel._prune_internal(int(starts.min()))
 
-        order = np.argsort(ends, kind="stable")
-        sorted_ends = ends[order]
-        sorted_members = m[order]
-        ticks, first = np.unique(sorted_ends, return_index=True)
-        for end, piece in zip(ticks, np.split(sorted_members, first[1:])):
-            self._push(int(end), piece)
+        self._push_ends(ends, m)
 
     def _feedback(self, m, tick: int):
         """Feedback codes for every member slot ending at ``tick``.

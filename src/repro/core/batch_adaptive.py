@@ -64,6 +64,7 @@ from .batch import (
     _F_BUSY,
     _F_SILENCE,
     AlgorithmProgram,
+    per_r,
 )
 
 #: ``silent_run`` gate clamp for the fault-tolerant skip ladder.  No run
@@ -239,14 +240,9 @@ class AOArrowProgram(AlgorithmProgram):
         self.sync_extra = np.array(
             [a.sync_extra for a in algos], dtype=np.int64
         )
-        self.t0 = np.array(
-            [abs_listen_threshold_bit0(a.max_slot_length) for a in algos],
-            dtype=np.int64,
-        )
-        self.t1 = np.array(
-            [abs_listen_threshold_bit1(a.max_slot_length) for a in algos],
-            dtype=np.int64,
-        )
+        bounds = [a.max_slot_length for a in algos]
+        self.t0 = per_r(abs_listen_threshold_bit0, bounds)
+        self.t1 = per_r(abs_listen_threshold_bit1, bounds)
         self.ast = np.zeros(n, dtype=np.int8)
         self.aphase = np.zeros(n, dtype=np.int64)
         self.asil = np.zeros(n, dtype=np.int64)

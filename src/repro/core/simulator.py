@@ -589,7 +589,11 @@ class Simulator:
                 callback(event)
 
     def _start(self) -> None:
-        """Open every station's first slot at time 0."""
+        """Open every station's first slot at time 0 (object loop).
+
+        The batch kernel opens slot 0 itself on a fresh simulator
+        (``BatchKernel._load``), with the same state as this method.
+        """
         self._started = True
         zero = self._timebase.zero
         self._pump_arrivals(zero)
@@ -763,6 +767,11 @@ class Simulator:
         forces the per-object loop: on a batch-engine simulator an
         ``"auto"``-resolved run silently falls back, a forced
         ``engine="batch"`` run raises).
+        The first call opens every station's slot 0.  On the batch
+        engine the kernel does that itself, from arrays
+        (``BatchKernel._load``); :meth:`_start` opens it one station at
+        a time for the object loop and for ``stop_when`` runs.  Both
+        leave identical state.
         Returns ``self`` for chaining.
         """
         if until_time is None and max_events is None and stop_when is None:
@@ -785,15 +794,15 @@ class Simulator:
             if limit_time is not None
             else None
         )
-        if not self._started:
-            self._start()
-            if stop_when is not None and stop_when(self):
-                return self
         if self._engine == "batch" and stop_when is None:
             self._batch_run(
                 limit_internal, limit_time, max_events, check_success=False
             )
             return self
+        if not self._started:
+            self._start()
+            if stop_when is not None and stop_when(self):
+                return self
         while True:
             if max_events is not None and self.events_processed >= max_events:
                 return self
@@ -820,14 +829,13 @@ class Simulator:
         or the adversary prevented progress for that long).  The stop
         check uses the channel's incremental finalized-success tracker,
         so the per-event cost is O(log history) rather than a scan of
-        the whole transmission list.
+        the whole transmission list.  On the batch engine the kernel
+        runs the whole search, slot 0 included (see :meth:`run`).
         """
         channel = self.channel
         channel.start_success_tracking()
 
         if self._engine == "batch":
-            if not self._started:
-                self._start()
             self._batch_run(None, None, max_events, check_success=True)
         else:
 
@@ -844,9 +852,10 @@ class Simulator:
     ) -> None:
         """Hand the run to the vectorized kernel (see repro.core.batch).
 
-        The kernel snapshots canonical state into arrays on entry and
-        writes it back on exit, so object-engine steps may freely
-        interleave with kernel runs on the same simulator.
+        The kernel snapshots canonical state into arrays on entry (on a
+        fresh simulator it opens slot 0 instead) and writes it back on
+        exit, so object-engine steps may freely interleave with kernel
+        runs on the same simulator.
         """
         kernel = self._batch_kernel
         if kernel is None:

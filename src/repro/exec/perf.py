@@ -42,6 +42,7 @@ Entry points: ``repro bench perf`` (CLI) and
 
 from __future__ import annotations
 
+import gc
 import json
 import pathlib
 import sys
@@ -269,22 +270,37 @@ def _run_case(
 
 
 def _run_fleet(case: PerfCase, engine: str, horizon: int):
-    """One timed fleet run on one engine; construction excluded.
+    """One fleet run on one engine; returns (fingerprint, events, phases).
 
-    ``sim.run(until_time=0)`` forces station setup (every station's
-    first slot) before the clock starts: that cost is identical for
-    both engines and, at n=1e5, would otherwise swamp the short
-    horizons these cases use.  The timed section still includes the
-    batch kernel's array load/store — that is a real per-run cost of
-    the fast path and the reported events/sec must own it.
+    ``phases`` holds the wall time of each end-to-end phase: spec
+    ``build``, the ``first_slot`` (``sim.run(until_time=0)``), the
+    ``run`` to the horizon and the channel ``drain``.  The ``run`` phase
+    alone is the kernel-only figure the ``win_min`` floors police; it
+    includes the batch kernel's array load/store, a real per-run cost of
+    the fast path.  First-slot setup differs between the engines — the
+    batch kernel opens every station's slot 0 from arrays, the object
+    loop one station at a time — so it counts only in the end-to-end
+    sum.
     """
-    spec = _case_spec(case)
-    sim = spec.build(engine=engine)
-    sim.run(until_time=0)
     began = perf_counter()
+    sim = _case_spec(case).build(engine=engine)
+    built = perf_counter()
+    sim.run(until_time=0)
+    opened = perf_counter()
+    # Setup garbage is collected outside the timed phases: a cyclic-GC
+    # pass it would trigger inside the run phase is not the run's cost.
+    gc.collect()
+    run_began = perf_counter()
     sim.run(until_time=horizon)
-    wall = perf_counter() - began
+    ran = perf_counter()
     sim.channel.drain_all(sim.now)
+    drained = perf_counter()
+    phases = {
+        "build": built - began,
+        "first_slot": opened - built,
+        "run": ran - run_began,
+        "drain": drained - ran,
+    }
     fingerprint = (
         sim.events_processed,
         sim.now,
@@ -293,23 +309,31 @@ def _run_fleet(case: PerfCase, engine: str, horizon: int):
         tuple(p.delivered_time for p in sim.delivered_packets),
         _stats_tuple(sim),
     )
-    return fingerprint, sim.events_processed, wall, sim.engine
+    return fingerprint, sim.events_processed, phases
 
 
 def _run_fleet_case(case: PerfCase, engine: str, quick: bool, repeats: int):
-    """Best-of-``repeats`` timing for one fleet case on one engine."""
+    """Best-of-``repeats`` timings for one fleet case on one engine.
+
+    Returns (fingerprint, events, kernel_s, e2e_s, phases): the fastest
+    ``run`` phase, the fastest end-to-end sum, and that sum's phases.
+    """
     horizon = case.quick_horizon if quick else case.horizon
-    best = None
+    fingerprint = events = kernel_s = e2e_s = best_phases = None
     for _ in range(max(repeats, 1)):
-        sample = _run_fleet(case, engine, horizon)
-        if best is None or sample[2] < best[2]:
-            best = sample
-        if sample[0] != best[0]:
+        sample, events, phases = _run_fleet(case, engine, horizon)
+        if fingerprint is not None and sample != fingerprint:
             raise RuntimeError(
                 f"{case.name}: non-deterministic repeat on the "
                 f"{engine} engine"
             )
-    return best
+        fingerprint = sample
+        total = sum(phases.values())
+        if kernel_s is None or phases["run"] < kernel_s:
+            kernel_s = phases["run"]
+        if e2e_s is None or total < e2e_s:
+            e2e_s, best_phases = total, phases
+    return fingerprint, events, kernel_s, e2e_s, best_phases
 
 
 def _measure_fleet(
@@ -318,21 +342,16 @@ def _measure_fleet(
     """Object-vs-batch measurements with per-case parity asserted."""
     measured: List[Dict[str, Any]] = []
     for case in suite:
-        obj_fp, events, obj_s, obj_engine = _run_fleet_case(
+        obj_fp, events, obj_s, obj_e2e, obj_phases = _run_fleet_case(
             case, "object", quick, repeats
         )
-        bat_fp, bat_events, bat_s, bat_engine = _run_fleet_case(
+        bat_fp, bat_events, bat_s, bat_e2e, bat_phases = _run_fleet_case(
             case, "batch", quick, repeats
         )
         if obj_fp != bat_fp or events != bat_events:
             raise RuntimeError(
                 f"{case.name}: batch/object parity violation — the "
                 "vectorized kernel changed the observable execution"
-            )
-        if (obj_engine, bat_engine) != ("object", "batch"):
-            raise RuntimeError(
-                f"{case.name}: expected object vs batch, got "
-                f"{obj_engine} vs {bat_engine}"
             )
         speedup = round(obj_s / bat_s, 2)
         win = "-"
@@ -353,6 +372,15 @@ def _measure_fleet(
                 "object_evps": round(events / obj_s),
                 "batch_evps": round(events / bat_s),
                 "speedup": speedup,
+                "object_e2e_evps": round(events / obj_e2e),
+                "batch_e2e_evps": round(events / bat_e2e),
+                "e2e_speedup": round(obj_e2e / bat_e2e, 2),
+                "phases": {
+                    engine: {name: round(t, 4) for name, t in phases.items()}
+                    for engine, phases in (
+                        ("object", obj_phases), ("batch", bat_phases)
+                    )
+                },
                 "win_min": (
                     "-" if case.win_min is None else f">={case.win_min:g}x"
                 ),
@@ -408,7 +436,6 @@ def _measure_exec_overhead(quick: bool, repeats: int) -> Dict[str, Any]:
     # spike that slows the engine section also shows in a neighbouring
     # raw section, while a sustained regression inflates every repeat
     # and still trips the gate.  Best repeat wins.
-    import gc
 
     gc_was_enabled = gc.isenabled()
 
@@ -605,6 +632,8 @@ def run_perf(
             "timebase",
             "fleet suite: events/sec on the object vs vectorized batch "
             "engine at n = 1e2..1e5",
+            "fleet speedup/win: kernel-only (the timed run phase); e2e "
+            "columns: build + first slot + run + drain, informational",
             "parity asserted per case: both paths produce identical "
             "executions",
             f"mode: {'quick (CI smoke)' if quick else 'full'}",
@@ -633,11 +662,18 @@ def run_perf(
                 }
                 for row in measured
             },
+            # Kernel-only columns (the timed ``run`` phase, which the
+            # win_min floors police) next to the informational
+            # end-to-end ones (build + first slot + run + drain).
             "fleet": {
                 row["case"]: {
                     "object_ev/s": row["object_evps"],
                     "batch_ev/s": row["batch_evps"],
                     "speedup": row["speedup"],
+                    "object_e2e_ev/s": row["object_e2e_evps"],
+                    "batch_e2e_ev/s": row["batch_e2e_evps"],
+                    "e2e_speedup": row["e2e_speedup"],
+                    "phases_s": row["phases"],
                 }
                 for row in fleet
             },
@@ -696,10 +732,12 @@ def render_report(document: Dict[str, Any]) -> List[str]:
             _render_table(
                 {
                     "headers": ["case", "object_ev/s", "batch_ev/s",
-                                "speedup"],
+                                "speedup", "object_e2e_ev/s",
+                                "batch_e2e_ev/s", "e2e_speedup"],
                     "rows": [
                         [case, cell["object_ev/s"], cell["batch_ev/s"],
-                         cell["speedup"]]
+                         cell["speedup"], cell["object_e2e_ev/s"],
+                         cell["batch_e2e_ev/s"], cell["e2e_speedup"]]
                         for case, cell in fleet.items()
                     ],
                 }

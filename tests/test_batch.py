@@ -18,26 +18,54 @@ Contract under test (see ``docs/vectorization.md``):
 """
 
 import dataclasses
+import enum
 import pathlib
+import random
 from fractions import Fraction
 
 import pytest
 
 np = pytest.importorskip("numpy")
 
-from repro.algorithms import CAArrow, RRW, SlottedAloha
+from repro.algorithms import (
+    AOArrow,
+    ABSLeaderElection,
+    CAArrow,
+    FaultTolerantCAArrow,
+    KSelection,
+    MBTFLike,
+    NaiveTDMA,
+    RRW,
+    SlottedAloha,
+)
 from repro.analysis import run_cell
-from repro.arrivals import ArrivalSource, UniformRate
+from repro.arrivals import ArrivalSource, StaticSchedule, UniformRate
 from repro.core import Simulator
 from repro.core.batch import BATCH_ALGORITHMS, BATCH_SCHEDULES, batch_blocker
-from repro.core.errors import ConfigurationError
+from repro.core.errors import ConfigurationError, ProtocolError
+from repro.core.station import (
+    LISTEN,
+    TRANSMIT_CONTROL,
+    TRANSMIT_PACKET,
+    AlwaysListen,
+    AlwaysTransmit,
+)
 from repro.core.trace import Trace
 from repro.obs.probes import ProbeBus
 from repro.obs.profiling import PhaseProfiler
 from repro.obs.tracing import Tracer, activate, deactivate
 from repro.scenarios import ScenarioSpec, load_spec
 from repro.scenarios.registry import ALGORITHMS, SCHEDULES
-from repro.timing import Adaptive, Synchronous
+from repro.timing import (
+    Adaptive,
+    CyclicPattern,
+    FixedLength,
+    PerStationFixed,
+    RandomUniform,
+    Synchronous,
+    TableDriven,
+)
+from repro.timing.adversary import WorstCaseCyclic
 
 SCENARIOS = pathlib.Path(__file__).resolve().parents[1] / "scenarios"
 
@@ -564,6 +592,207 @@ class TestBatchObjectParity:
             assert getattr(object_result, field.name) == getattr(
                 batch_result, field.name
             ), field.name
+
+
+#: First-slot fleets: one factory ``(sid, n, R) -> automaton`` for every
+#: registered algorithm program (the test below fails when a program is
+#: registered without one).
+FIRST_SLOT_FLEETS = {
+    "AlwaysListen": lambda sid, n, r: AlwaysListen(),
+    "AlwaysTransmit": lambda sid, n, r: AlwaysTransmit(),
+    "SlottedAloha": lambda sid, n, r: SlottedAloha(sid, 0.5, seed=11),
+    "NaiveTDMA": lambda sid, n, r: NaiveTDMA(sid, n),
+    "RRW": lambda sid, n, r: RRW(sid, n),
+    "MBTFLike": lambda sid, n, r: MBTFLike(sid, n),
+    "KSelection": lambda sid, n, r: KSelection(sid, 2, r),
+    "ABSLeaderElection": lambda sid, n, r: ABSLeaderElection(
+        sid, r, carries_packet=sid % 2 == 1
+    ),
+    "AOArrow": lambda sid, n, r: AOArrow(sid, n, r),
+    "CAArrow": lambda sid, n, r: CAArrow(sid, n, r),
+    "FaultTolerantCAArrow": lambda sid, n, r: FaultTolerantCAArrow(sid, n, r),
+}
+
+#: First-slot schedules: one factory ``R -> adversary`` per registered
+#: schedule program.
+FIRST_SLOT_SCHEDULES = {
+    "Synchronous": lambda r: Synchronous(),
+    "FixedLength": lambda r: FixedLength("3/2"),
+    "PerStationFixed": lambda r: PerStationFixed(
+        {1: "1", 2: "3/2", 3: "2", 4: "1", 5: "3/2"}
+    ),
+    "CyclicPattern": lambda r: CyclicPattern(
+        {1: ["2", "1"], 2: ["1"], 3: ["3/2", "2"], 4: ["1", "1", "2"],
+         5: ["3/2"]}
+    ),
+    "WorstCaseCyclic": lambda r: WorstCaseCyclic(r),
+    "TableDriven": lambda r: TableDriven({1: ["2", "1"], 4: ["3/2"]}, "1"),
+    "RandomUniform": lambda r: RandomUniform(r, seed=5),
+}
+
+#: Arrivals at time 0 (two for station 3) plus later ones, so slot 0
+#: sees pumped-and-delivered packets and pending ones stay behind.
+ARRIVALS_AT_ZERO = [(0, 1), (0, 3), (0, 3), ("1/2", 2), (3, 5)]
+
+
+def first_slot_sim(algorithm, schedule, setup, engine, n=5, r=2):
+    fleet = {
+        sid: FIRST_SLOT_FLEETS[algorithm](sid, n, r)
+        for sid in range(1, n + 1)
+    }
+    if setup == "initial_packets":
+        extra = {"initial_packets": 2}
+    else:
+        extra = {"arrival_source": StaticSchedule(ARRIVALS_AT_ZERO)}
+    return Simulator(
+        fleet, FIRST_SLOT_SCHEDULES[schedule](r), max_slot_length=r,
+        engine=engine, **extra,
+    )
+
+
+def state_of(obj):
+    """A comparable deep snapshot of an automaton, adversary or trace."""
+    if isinstance(obj, (bool, int, float, str, Fraction, enum.Enum)) or obj is None:
+        return obj
+    if isinstance(obj, random.Random):
+        return obj.getstate()
+    if isinstance(obj, dict):
+        return tuple(sorted((k, state_of(v)) for k, v in obj.items()))
+    if isinstance(obj, (list, tuple)):
+        return tuple(state_of(v) for v in obj)
+    if dataclasses.is_dataclass(obj):
+        return (type(obj).__name__,) + tuple(
+            (f.name, state_of(getattr(obj, f.name)))
+            for f in dataclasses.fields(obj)
+        )
+    return (type(obj).__name__, state_of(vars(obj)))
+
+
+def full_state(sim):
+    """:func:`fingerprint` (undrained) plus everything else slot 0
+    touches: runtime actions and intervals, queue contents, pending
+    arrivals, automata, the adversary (its RNG included) and the
+    trace."""
+    return fingerprint(sim, drain=False) + (
+        sim._next_packet_id,
+        sim._arrivals_not_before,
+        tuple(
+            (rt.slot_interval.start, rt.slot_interval.end, rt.action,
+             None if rt.aboard_packet is None else rt.aboard_packet.packet_id,
+             tuple(p.packet_id for p in rt.queue))
+            for rt in (sim.stations[sid] for sid in sim.station_ids)
+        ),
+        tuple(
+            (sid, tuple(p.packet_id for _at, p in pending))
+            for sid, pending in sorted(sim._pending_arrivals.items())
+        ),
+        tuple(state_of(sim.algorithm(sid)) for sid in sim.station_ids),
+        state_of(sim.slot_adversary),
+        state_of(sim.trace),
+    )
+
+
+class TestFirstSlotParity:
+    """On a fresh batch-engine simulator the kernel opens slot 0 itself
+    (``BatchKernel._load``); the object engine opens it with
+    ``Simulator._start``.  The two must leave identical state."""
+
+    def test_every_registered_program_has_a_first_slot_case(self):
+        assert {c.__name__ for c in BATCH_ALGORITHMS} == set(FIRST_SLOT_FLEETS)
+        assert {c.__name__ for c in BATCH_SCHEDULES} == set(
+            FIRST_SLOT_SCHEDULES
+        )
+
+    @pytest.mark.parametrize("setup", ["initial_packets", "arrivals_at_zero"])
+    @pytest.mark.parametrize("schedule", sorted(FIRST_SLOT_SCHEDULES))
+    @pytest.mark.parametrize("algorithm", sorted(FIRST_SLOT_FLEETS))
+    def test_kernel_opened_slot_zero_matches_object_start(
+        self, algorithm, schedule, setup
+    ):
+        object_sim = first_slot_sim(algorithm, schedule, setup, "object")
+        batch_sim = first_slot_sim(algorithm, schedule, setup, "batch")
+        object_sim.run(until_time=0)
+        batch_sim.run(until_time=0)
+        assert batch_sim._batch_kernel is not None
+        assert full_state(object_sim) == full_state(batch_sim)
+        # The opened slot continues identically on either engine.
+        object_sim.run(until_time=40)
+        batch_sim.run(until_time=40)
+        assert full_state(object_sim) == full_state(batch_sim)
+
+    def test_batch_runs_never_call_object_start(self, monkeypatch):
+        def no_object_start(sim):
+            raise AssertionError("Simulator._start ran on a batch run")
+
+        monkeypatch.setattr(Simulator, "_start", no_object_start)
+        for setup in ("initial_packets", "arrivals_at_zero"):
+            first_slot_sim("AOArrow", "WorstCaseCyclic", setup, "batch").run(
+                until_time=30
+            )
+        first_slot_sim(
+            "ABSLeaderElection", "WorstCaseCyclic", "initial_packets", "batch"
+        ).run_until_success(max_events=10_000)
+
+    @pytest.mark.parametrize("algorithm", sorted(FIRST_SLOT_FLEETS))
+    def test_max_events_one_chunks_from_a_fresh_simulator(self, algorithm):
+        """A one-event budget on a fresh simulator opens slot 0 and then
+        processes exactly one event, chunk after chunk."""
+        object_sim = first_slot_sim(
+            algorithm, "RandomUniform", "arrivals_at_zero", "object"
+        )
+        batch_sim = first_slot_sim(
+            algorithm, "RandomUniform", "arrivals_at_zero", "batch"
+        )
+        for budget in range(1, 12):
+            object_sim.run(max_events=budget)
+            batch_sim.run(max_events=budget)
+            assert full_state(object_sim) == full_state(batch_sim), budget
+
+    @pytest.mark.parametrize(
+        "algorithm", ["ABSLeaderElection", "KSelection", "AOArrow"]
+    )
+    @pytest.mark.parametrize("schedule", ["Synchronous", "WorstCaseCyclic"])
+    def test_run_until_success_from_a_fresh_simulator(
+        self, algorithm, schedule
+    ):
+        object_sim = first_slot_sim(
+            algorithm, schedule, "initial_packets", "object"
+        )
+        batch_sim = first_slot_sim(
+            algorithm, schedule, "initial_packets", "batch"
+        )
+        end = object_sim.run_until_success(max_events=50_000)
+        assert end is not None
+        assert batch_sim.run_until_success(max_events=50_000) == end
+        assert full_state(object_sim) == full_state(batch_sim)
+
+    @pytest.mark.parametrize(
+        "first, message",
+        [
+            (TRANSMIT_PACKET, "transmitted a packet from an empty queue"),
+            (TRANSMIT_CONTROL, "sent a control message but declares "
+                               "uses_control_messages=False"),
+        ],
+    )
+    def test_invalid_first_action_raises_canonical_error(
+        self, monkeypatch, first, message
+    ):
+        class EagerStation(AlwaysListen):
+            def first_action(self, ctx):
+                return first if self is fleet[3] else LISTEN
+
+        monkeypatch.setitem(
+            BATCH_ALGORITHMS, EagerStation, BATCH_ALGORITHMS[AlwaysListen]
+        )
+        expected = f"station 3: EagerStation {message}"
+        for engine in ("object", "batch"):
+            fleet = {sid: EagerStation() for sid in range(1, 5)}
+            sim = Simulator(
+                fleet, Synchronous(), max_slot_length=2, engine=engine
+            )
+            with pytest.raises(ProtocolError) as caught:
+                sim.run(until_time=5)
+            assert str(caught.value) == expected, engine
 
 
 class TestBatchChaosParity:

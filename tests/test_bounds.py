@@ -1,5 +1,6 @@
 """Unit tests for the closed-form paper bounds (repro.analysis.bounds)."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -170,3 +171,81 @@ class TestAuxBounds:
     def test_thm4_requires_positive_rate(self):
         with pytest.raises(ConfigurationError):
             thm4_minimum_start_slot(8, Fraction(0), 2)
+
+
+#: The per-R thresholds every station of a fleet asks for, memoized per
+#: normalised R, with their closed forms.
+PER_R_THRESHOLDS = {
+    abs_listen_threshold_bit0: lambda r: 3 * r,
+    abs_listen_threshold_bit1: lambda r: 4 * r * r + 3 * r,
+    ao_sync_silence_threshold: lambda r: (
+        r * ((4 * r * r + 3 * r) + (r + 1)) + 2
+    ),
+    ao_sync_extra_wait: lambda r: r * math.ceil(
+        r * ((4 * r * r + 3 * r) + (r + 1)) + 2
+    ),
+    ca_gap_slots: lambda r: 2 * r,
+}
+
+
+class TestPerRMemo:
+    @pytest.mark.parametrize(
+        "threshold", PER_R_THRESHOLDS, ids=lambda f: f.__name__
+    )
+    def test_invalid_r_raises_on_every_call(self, threshold):
+        # R = 1 is cached first: True and Fraction(1) compare equal to it.
+        assert threshold(1) == threshold(Fraction(1))
+        for bad in (True, 0, "1/2", Fraction(1, 2)):
+            for _ in range(2):
+                with pytest.raises(ConfigurationError):
+                    threshold(bad)
+
+    @pytest.mark.parametrize(
+        "threshold", PER_R_THRESHOLDS, ids=lambda f: f.__name__
+    )
+    @pytest.mark.parametrize(
+        "r", [2, 3, Fraction(5, 2), "7/3", "3/2", 2.5],
+        ids=lambda r: f"{type(r).__name__}-{r}",
+    )
+    def test_cached_and_uncached_values_agree(self, threshold, r):
+        threshold.cache_clear()
+        uncached = threshold(r)
+        assert threshold.cache_info().misses >= 1
+        hits = threshold.cache_info().hits
+        exact = Fraction(r) if not isinstance(r, float) else Fraction(str(r))
+        for equal in (r, exact, str(exact)):
+            assert threshold(equal) == uncached
+        assert threshold.cache_info().hits == hits + 3
+        assert uncached == math.ceil(PER_R_THRESHOLDS[threshold](exact))
+
+    def test_public_signature_accepts_any_time_like(self):
+        import inspect
+
+        for threshold in PER_R_THRESHOLDS:
+            params = list(inspect.signature(threshold).parameters)
+            assert params == ["max_slot_length"], threshold.__name__
+            assert threshold(max_slot_length="2") == threshold(2)
+
+    def test_abs_overrides_still_honoured_and_demote(self):
+        from repro.algorithms import ABSLeaderElection
+        from repro.algorithms.abs_leader import AbsCore
+        from repro.core import Simulator
+        from repro.timing import Synchronous
+
+        assert abs_listen_threshold_bit0(2) == 6  # warm the memo
+        core = AbsCore(station_id=3, max_slot_length=2,
+                       threshold0_override=2, threshold1_override=5)
+        assert (core._threshold0, core._threshold1) == (2, 5)
+        plain = AbsCore(station_id=3, max_slot_length=2)
+        assert (plain._threshold0, plain._threshold1) == (6, 22)
+
+        pytest.importorskip("numpy")
+        fleet = {i: ABSLeaderElection(i, 2) for i in range(1, 5)}
+        fleet[2].core.threshold1_override = 9
+        fleet[2].core.__post_init__()
+        assert fleet[2].core._threshold1 == 9
+        sim = Simulator(fleet, Synchronous(), max_slot_length=2)
+        assert sim.engine == "object"
+        assert sim.engine_detail == (
+            "ABS with listening-threshold overrides is object-path only"
+        )

@@ -437,3 +437,30 @@ class TestPerfSuite:
         assert rows["f-info"][-2:] == ["-", "-"]
         assert rows["f-policed"][-2] == ">=0.0001x"
         assert rows["f-policed"][-1] == "yes"
+
+    def test_fleet_rows_carry_end_to_end_columns(self, tmp_path):
+        """Informational end-to-end columns (build + first slot + run +
+        drain) sit next to the kernel-only ones, in meta only, so the
+        exact-compare fleet table keeps its shape."""
+        pytest.importorskip("numpy")
+        from repro.exec.perf import PerfCase, run_perf, write_report
+
+        fleet = [PerfCase(name="f-e2e", algorithm="ao-arrow", n=8,
+                          schedule="sync", horizon=60, quick_horizon=60)]
+        document = run_perf(
+            cases=[self._tiny_case()], quick=True, repeats=2,
+            fleet_cases=fleet,
+        )
+        assert document["tables"][2]["headers"] == [
+            "case", "algorithm", "n", "R", "work", "events", "engines",
+            "parity", "win_min", "win",
+        ]
+        cell = document["meta"]["fleet"]["f-e2e"]
+        for engine in ("object", "batch"):
+            phases = cell["phases_s"][engine]
+            assert list(phases) == ["build", "first_slot", "run", "drain"]
+            # End to end includes the kernel-only run phase.
+            assert cell[f"{engine}_e2e_ev/s"] <= cell[f"{engine}_ev/s"]
+        assert cell["e2e_speedup"] > 0
+        _, txt_path = write_report(document, tmp_path)
+        assert "e2e_speedup" in txt_path.read_text()
