@@ -28,10 +28,7 @@ def _run(adversary, R):
     end = sim.run_until_success(max_events=200_000)
     assert end is not None
     # Let every station observe the outcome so the full schedule renders.
-    sim.run(
-        max_events=sim.events_processed + 200,
-        stop_when=lambda s: all(a.is_done for a in algos.values()),
-    )
+    sim.run_until_all_done(sim.events_processed + 200)
     return sim, trace, end
 
 

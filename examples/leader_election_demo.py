@@ -38,10 +38,7 @@ def main() -> None:
             keep_channel_history=True,
         )
         solved_at = sim.run_until_success(max_events=2_000_000)
-        sim.run(
-            max_events=sim.events_processed + 500,
-            stop_when=lambda s: all(a.is_done for a in algos.values()),
-        )
+        sim.run_until_all_done(sim.events_processed + 500)
         winner = next(i for i, a in algos.items() if a.outcome == "won")
         bound = abs_slot_upper_bound(N, r_bound)
 

@@ -34,7 +34,7 @@ distinction.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Optional, Tuple
 
 from ..analysis.bounds import (
     abs_listen_threshold_bit0,
@@ -61,6 +61,27 @@ def id_bit(station_id: int, position: int) -> int:
     still differ at some position below ``bit_length(n)``.
     """
     return (station_id >> position) & 1
+
+
+#: ``(R, bit-0 threshold, bit-1 threshold)`` of the last ``R`` object
+#: asked for.  A fleet built from one spec hands every station the same
+#: ``R`` object, so the identity check below pays the validated
+#: threshold lookup once per fleet instead of once per station.  Time
+#: values are immutable, and an invalid ``R`` raises before it is
+#: stored, so it raises again on every construction.
+_last_thresholds: Tuple[object, int, int] = (object(), 0, 0)
+
+
+def _paper_thresholds(max_slot_length: TimeLike) -> Tuple[int, int]:
+    """The paper's ``(3R, 4R^2 + 3R)`` listening thresholds for ``R``."""
+    global _last_thresholds
+    last_r, bit0, bit1 = _last_thresholds
+    if max_slot_length is not last_r:
+        upper = as_time(max_slot_length)
+        bit0 = abs_listen_threshold_bit0(upper)
+        bit1 = abs_listen_threshold_bit1(upper)
+        _last_thresholds = (max_slot_length, bit0, bit1)
+    return bit0, bit1
 
 
 @dataclass(slots=True)
@@ -104,16 +125,16 @@ class AbsCore:
             raise ProtocolError(
                 f"ABS requires positive integer IDs, got {self.station_id}"
             )
-        upper = as_time(self.max_slot_length)
+        bit0, bit1 = _paper_thresholds(self.max_slot_length)
         self._threshold0 = (
             self.threshold0_override
             if self.threshold0_override is not None
-            else abs_listen_threshold_bit0(upper)
+            else bit0
         )
         self._threshold1 = (
             self.threshold1_override
             if self.threshold1_override is not None
-            else abs_listen_threshold_bit1(upper)
+            else bit1
         )
 
     @property

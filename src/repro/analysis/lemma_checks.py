@@ -167,10 +167,7 @@ def run_instrumented_election(
                     keep_channel_history=True)
     sim_ref[0] = sim
     record.first_success_end = sim.run_until_success(max_events=max_events)
-    sim.run(
-        max_events=sim.events_processed + 10_000,
-        stop_when=lambda s: all(a.is_done for a in algos.values()),
-    )
+    sim.run_until_all_done(sim.events_processed + 10_000)
     return record
 
 

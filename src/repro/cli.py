@@ -1126,6 +1126,15 @@ def build_parser() -> argparse.ArgumentParser:
     sst_p.add_argument("--schedule", default="worst")
     sst_p.add_argument("--seed", type=int, default=0)
     sst_p.add_argument("--max-events", type=int, default=2_000_000)
+    sst_p.add_argument("--engine", choices=("auto", "object"),
+                       default="auto",
+                       help="run loop (observably identical; 'auto' runs "
+                       "the search on the batch kernel when eligible, the "
+                       "termination tail always runs on the object loop)")
+    sst_p.add_argument("--timebase", choices=("auto", "lattice", "fraction"),
+                       default="auto",
+                       help="internal time representation (observably "
+                       "identical)")
     sst_p.set_defaults(handler=_cmd_sst)
 
     adv_p = sub.add_parser("adversary", help="run a theorem construction")

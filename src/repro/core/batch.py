@@ -771,14 +771,26 @@ class _PatternSchedule(ScheduleProgram):
         raise NotImplementedError
 
     def load(self) -> None:
-        sids = self.kernel.sids_list
-        patterns = [self._pattern_for(sid) for sid in sids]
-        self.plen = np.array([len(p) for p in patterns], dtype=np.int64)
-        width = int(self.plen.max())
-        table = np.zeros((len(sids), width), dtype=np.int64)
-        for i, pattern in enumerate(patterns):
-            table[i, : len(pattern)] = [self._ticks(x) for x in pattern]
-        self.table = table
+        # Each distinct pattern object is converted to ticks once (a
+        # worst-case fleet shares two), in station order, so a bad
+        # length raises the same canonical error as a per-station pass.
+        # The dict values keep each pattern alive, so ids stay unique.
+        seen: Dict[int, tuple] = {}
+        rows: List[List[int]] = []
+        row_index = np.empty(len(self.kernel.sids_list), dtype=np.int64)
+        for i, sid in enumerate(self.kernel.sids_list):
+            pattern = self._pattern_for(sid)
+            entry = seen.get(id(pattern))
+            if entry is None:
+                entry = seen[id(pattern)] = (len(rows), pattern)
+                rows.append([self._ticks(x) for x in pattern])
+            row_index[i] = entry[0]
+        lengths = np.array([len(row) for row in rows], dtype=np.int64)
+        distinct = np.zeros((len(rows), int(lengths.max())), dtype=np.int64)
+        for j, row in enumerate(rows):
+            distinct[j, : len(row)] = row
+        self.plen = lengths[row_index]
+        self.table = distinct[row_index]
 
     def lengths(self, m, new_index):
         return self.table[m, new_index % self.plen[m]]

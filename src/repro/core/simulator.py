@@ -624,7 +624,8 @@ class Simulator:
     def _compute_feedback(self, runtime: StationRuntime) -> Feedback:
         return self.channel.feedback_for(runtime.slot_interval)
 
-    def _process_event(self) -> None:
+    def _process_event(self) -> int:
+        """Process the earliest slot-end event; return the stepped station's id."""
         end_time, sid = heapq.heappop(self._event_heap)
         runtime = self.stations[sid]
         if end_time != runtime.slot_end:
@@ -747,6 +748,7 @@ class Simulator:
         ):
             low_water = min(rt.slot_start for rt in self.stations.values())
             self.channel._prune_internal(low_water)
+        return sid
 
     # ------------------------------------------------------------------
     # Run loops
@@ -766,7 +768,9 @@ class Simulator:
         ``stop_when`` is evaluated after every processed event (so it
         forces the per-object loop: on a batch-engine simulator an
         ``"auto"``-resolved run silently falls back, a forced
-        ``engine="batch"`` run raises).
+        ``engine="batch"`` run raises); to stop once every station is
+        done, use :meth:`run_until_all_done`, which does not rescan the
+        fleet per event.
         The first call opens every station's slot 0.  On the batch
         engine the kernel does that itself, from arrays
         (``BatchKernel._load``); :meth:`_start` opens it one station at
@@ -778,16 +782,8 @@ class Simulator:
             raise ConfigurationError(
                 "run() needs at least one stopping condition"
             )
-        if (
-            stop_when is not None
-            and self._engine == "batch"
-            and self._engine_requested == "batch"
-        ):
-            raise ConfigurationError(
-                "stop_when is evaluated per event and requires the object "
-                "engine; construct the Simulator with engine='auto' or "
-                "engine='object'"
-            )
+        if stop_when is not None:
+            self._require_object_loop("stop_when")
         limit_time = as_time(until_time) if until_time is not None else None
         limit_internal = (
             self._timebase.floor_internal(limit_time)
@@ -818,6 +814,54 @@ class Simulator:
             self._process_event()
             if stop_when is not None and stop_when(self):
                 return self
+
+    def _require_object_loop(self, what: str) -> None:
+        """Reject a per-event stop test on a forced-batch simulator."""
+        if self._engine == "batch" and self._engine_requested == "batch":
+            raise ConfigurationError(
+                f"{what} is evaluated per event and requires the object "
+                "engine; construct the Simulator with engine='auto' or "
+                "engine='object'"
+            )
+
+    def run_until_all_done(self, max_events: int) -> bool:
+        """Run until every station's automaton reports ``is_done``.
+
+        Stops on exactly the event where ``run(max_events=max_events,
+        stop_when=lambda s: all(a.is_done for a in ...))`` stops, but
+        pays O(1) per event instead of a scan of the fleet: one scan
+        collects the stations that are not done (after opening slot 0
+        on a fresh simulator), then each event re-reads ``is_done`` of
+        the one station it stepped.  That is exact because ``is_done``
+        changes only inside its own station's step (see
+        :attr:`~repro.core.station.StationAlgorithm.is_done`).  Like
+        every per-event stop test it runs on the object loop, and a
+        forced ``engine="batch"`` simulator raises.
+
+        ``max_events`` bounds the cumulative event count, as in
+        :meth:`run`.  Returns whether every station is done.
+        """
+        self._require_object_loop("run_until_all_done")
+        stations = self.stations
+        fresh = not self._started
+        if fresh:
+            self._start()
+        undone = {
+            sid for sid, rt in stations.items() if not rt.algorithm.is_done
+        }
+        if fresh and not undone:
+            return True
+        while self.events_processed < max_events:
+            if not self._event_heap:
+                raise SimulationError("event heap empty — stations always reschedule")
+            sid = self._process_event()
+            if stations[sid].algorithm.is_done:
+                undone.discard(sid)
+                if not undone:
+                    return True
+            else:
+                undone.add(sid)
+        return not undone
 
     def run_until_success(
         self, max_events: int = 10_000_000

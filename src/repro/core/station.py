@@ -157,6 +157,14 @@ class StationAlgorithm:
         A done station listens forever; the simulator may use this to
         stop a run early.  Dynamic-arrival algorithms never terminate and
         keep the default ``False``.
+
+        Contract: the value depends only on the automaton's own state,
+        and that state changes only inside its own :meth:`first_action`
+        / :meth:`on_slot_end`.  It may flip either way (a crashed
+        station that was done reads ``False``), but only during one of
+        its own steps — which is what lets
+        :meth:`~repro.core.simulator.Simulator.run_until_all_done`
+        re-read just the station each event stepped.
         """
         return False
 

@@ -185,10 +185,11 @@ def plan(request: RunRequest) -> RunPlan:
     """Resolve a request against the local environment.
 
     Pure resolution, no execution: validates command/spec fit (an SST
-    request must name an SST algorithm), instantiates the result
-    cache, applies the resume-journal default, and builds the grid
-    cells.  Raises :class:`~repro.core.errors.ConfigurationError` on
-    anything unresolvable.
+    request must name an SST algorithm and may not force the batch
+    engine), instantiates the result cache, applies the resume-journal
+    default, and builds the grid cells.  Raises
+    :class:`~repro.core.errors.ConfigurationError` on anything
+    unresolvable.
     """
     options = request.options
     if request.command == "sst":
@@ -197,6 +198,12 @@ def plan(request: RunRequest) -> RunPlan:
             raise ConfigurationError(
                 f"specs[0].algorithm: {spec.algorithm!r} is not an SST "
                 f"algorithm (use {' | '.join(ALGORITHMS.names(kind='sst'))})"
+            )
+        if options.engine == "batch":
+            raise ConfigurationError(
+                "options.engine: 'batch' cannot run an sst request — the "
+                "termination tail after the first success is checked per "
+                "event on the object loop (use 'auto' or 'object')"
             )
     cache = None
     journal = options.journal
@@ -446,15 +453,12 @@ def _execute_sst(
     request = plan_.request
     options = request.options
     spec = request.spec
-    sim = spec.build()
+    sim = spec.build(timebase=options.timebase, engine=options.engine)
     fleet = {i: sim.algorithm(i) for i in sim.station_ids}
     started = time.perf_counter()
     solved_at = sim.run_until_success(max_events=options.max_events)
     if solved_at is not None:
-        sim.run(
-            max_events=sim.events_processed + 100_000,
-            stop_when=lambda s: all(a.is_done for a in fleet.values()),
-        )
+        sim.run_until_all_done(sim.events_processed + 100_000)
     wall_s = time.perf_counter() - started
     winners = [
         i for i, a in fleet.items() if getattr(a, "outcome", None) == "won"

@@ -165,6 +165,18 @@ class TestSstCommand:
         with pytest.raises(SystemExit):
             main(["sst", "--algorithm", "oracle"])
 
+    def test_engines_print_the_same_election(self, capsys):
+        outputs = []
+        for flags in ([], ["--engine", "object"], ["--timebase", "fraction"]):
+            assert main(["sst", "--algorithm", "abs", "--n", "12"] + flags) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1] == outputs[2]
+
+    def test_batch_engine_is_not_a_choice(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["sst", "--engine", "batch"])
+        assert "invalid choice" in capsys.readouterr().err
+
 
 class TestAdversaryCommand:
     def test_mirror(self, capsys):

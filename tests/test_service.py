@@ -99,6 +99,14 @@ class TestRunRequest:
         with pytest.raises(ConfigurationError, match="not an SST algorithm"):
             plan(request)
 
+    def test_sst_plan_rejects_forced_batch_engine(self):
+        spec = ScenarioSpec(algorithm="abs", n=4, schedule="worst", rho=None)
+        request = RunRequest(
+            specs=(spec,), command="sst", options=RunOptions(engine="batch")
+        )
+        with pytest.raises(ConfigurationError, match="options.engine"):
+            plan(request)
+
 
 class TestExecuteParity:
     def test_run_matches_direct_engine_drive(self):
@@ -148,6 +156,32 @@ class TestExecuteParity:
         assert result.ok
         assert result.sst["solved_at"] is not None
         assert result.sst["max_slots"] <= result.sst["bound"]
+
+    @pytest.mark.parametrize("schedule", ["worst", "sync"])
+    def test_sst_honours_engine_and_timebase_options(self, schedule):
+        pytest.importorskip("numpy")
+        spec = ScenarioSpec(
+            algorithm="abs", n=40, max_slot=2, schedule=schedule,
+            seed=0, rho=None,
+        )
+
+        def sst(**options):
+            return execute(RunRequest(
+                specs=(spec,), command="sst", options=RunOptions(**options)
+            ))
+
+        auto = sst()
+        results = [
+            (sst(engine="object"), "object", "lattice"),
+            (sst(engine="object", timebase="fraction"), "object", "fraction"),
+            (sst(timebase="fraction"), "object", "fraction"),
+        ]
+        assert auto.engine == "batch"
+        for result, engine, timebase in [(auto, "batch", "lattice")] + results:
+            assert result.ok
+            assert result.sst == auto.sst
+            assert result.engine == engine
+            assert result.timebase.startswith(timebase)
 
     def test_artifact_stream_receives_records(self):
         stream = io.StringIO()
